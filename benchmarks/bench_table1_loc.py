@@ -48,6 +48,22 @@ def loc_of(*relpaths: str) -> int:
     return total
 
 
+def package_loc() -> dict[str, int]:
+    """Non-blank, non-comment lines per package directly under src/repro."""
+    sizes: dict[str, int] = {}
+    for name in sorted(os.listdir(_SRC)):
+        package = os.path.join(_SRC, name)
+        if not os.path.isfile(os.path.join(package, "__init__.py")):
+            continue
+        sizes[name] = loc_of(*(
+            os.path.relpath(os.path.join(root, fname), _SRC)
+            for root, _, files in os.walk(package)
+            for fname in files
+            if fname.endswith(".py")
+        ))
+    return sizes
+
+
 def components() -> dict[str, int]:
     return {
         "Base engine (staged evaluator + staging layer)": loc_of(
@@ -110,6 +126,13 @@ def main() -> None:
             "paper (LB2): base 1800, index structures 200, index compilation 80,\n"
             "string dictionary 150, date indexing 50, allocation hoisting 30"
         ),
+    )
+    packages = package_loc()
+    print_table(
+        "Lines of code per package (src/repro/<package>)",
+        ["LoC"],
+        [(name, [loc]) for name, loc in packages.items()]
+        + [("total", [sum(packages.values())])],
     )
 
 

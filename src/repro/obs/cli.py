@@ -30,16 +30,8 @@ from typing import Optional, Sequence
 SCHEMA = "repro-obs/v1"
 
 
-def build_report(
-    query: int, scale: float, engine: str, opt_level: int = 0
-) -> dict:
-    """Run one TPC-H query under tracing; returns the report dict.
-
-    ``opt_level`` enables the translation-validated IR optimizer for the
-    compiled/vector engines; its ``opt.*`` counters then appear in the
-    metrics snapshot alongside the compile timings.
-    """
-    from repro.compiler.lb2 import Config
+def build_report(query: int, scale: float, engine: str) -> dict:
+    """Run one TPC-H query under tracing; returns the report dict."""
     from repro.obs.explain import explain_analyze_plan
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import Trace, span
@@ -52,9 +44,7 @@ def build_report(
             db = generate_database(tables=dict(generate_tables(scale)))
         with span("plan"):
             plan = query_plan(query, scale=scale)
-        ea = explain_analyze_plan(
-            db, plan, engine=engine, config=Config(opt_level=opt_level)
-        )
+        ea = explain_analyze_plan(db, plan, engine=engine)
     return {
         "schema": SCHEMA,
         "query": query,
@@ -197,11 +187,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="engine to analyze (default: compiled)",
     )
     parser.add_argument(
-        "--opt-level", type=int, default=0, choices=(0, 1, 2),
-        help="IR optimizer level for the compiled/vector engines "
-        "(default: 0 = off)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the JSON report to stdout"
     )
     parser.add_argument(
@@ -214,7 +199,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = build_report(args.query, args.scale, args.engine, args.opt_level)
+    report = build_report(args.query, args.scale, args.engine)
     if args.json:
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
