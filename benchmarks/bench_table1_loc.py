@@ -49,8 +49,16 @@ def loc_of(*relpaths: str) -> int:
 
 
 def package_loc() -> dict[str, int]:
-    """Non-blank, non-comment lines per package directly under src/repro."""
-    sizes: dict[str, int] = {}
+    """Non-blank, non-comment lines per package directly under src/repro.
+
+    Modules directly under src/repro (``session.py``, ``errors.py``, ...)
+    are counted together as the ``(top-level)`` row.
+    """
+    sizes: dict[str, int] = {
+        "(top-level)": loc_of(*(
+            name for name in sorted(os.listdir(_SRC)) if name.endswith(".py")
+        ))
+    }
     for name in sorted(os.listdir(_SRC)):
         package = os.path.join(_SRC, name)
         if not os.path.isfile(os.path.join(package, "__init__.py")):

@@ -282,13 +282,9 @@ def bench_params(
             cache = session.cache_info()
             del cache["statements"]
             # Compiles *paid during the measured phase* (warmup excluded):
-            # the number the two modes are being compared on.
-            cache["measured_misses"] = (
-                cache["misses"]
-                - warm_cache["misses"]
-                + cache["shape_misses"]
-                - warm_cache["shape_misses"]
-            )
+            # the number the two modes are being compared on.  ``misses``
+            # already counts shape-keyed misses.
+            cache["measured_misses"] = cache["misses"] - warm_cache["misses"]
             entry["cache"] = cache
             report.setdefault("shapes", {}).update(shape_index(responses))
         report[mode] = entry

@@ -20,6 +20,7 @@ once per row reaching the result collector.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -40,6 +41,9 @@ ENGINE_CHAIN = ("compiled", "push", "volcano")
 #: retry the same bug; chains that want it say so explicitly, e.g.
 #: ``ResilientExecutor(session, engines=FULL_CHAIN)``.
 FULL_CHAIN = ("vector",) + ENGINE_CHAIN
+
+#: The engines that run a residual program (and share the compile cache).
+COMPILED_ENGINES = ("vector", "compiled")
 
 
 @dataclass
@@ -120,9 +124,13 @@ class ResilientExecutor:
     """Fault-tolerant query execution over a :class:`Session`.
 
     ``engines`` is the ordered fallback chain (a subset/permutation of
-    :data:`ENGINE_CHAIN`); ``budget`` bounds every attempt jointly --
+    :data:`FULL_CHAIN`); ``budget`` bounds every attempt jointly --
     elapsed time and scanned rows accumulate across the chain, so a
     degraded query cannot spend three budgets.
+
+    Compiled attempts go through the session cache under the attempt's
+    own :meth:`compile_config`, so budget-checked, instrumented and
+    vector builds each compile once per statement.
     """
 
     def __init__(
@@ -131,7 +139,6 @@ class ResilientExecutor:
         policy: Optional[FallbackPolicy] = None,
         budget: Optional[Budget] = None,
         engines: Sequence[str] = ENGINE_CHAIN,
-        cache_guarded_compiles: bool = False,
         instrument: bool = False,
         request_id: Optional[str] = None,
     ) -> None:
@@ -144,12 +151,6 @@ class ResilientExecutor:
         self.policy = policy or DEFAULT_POLICY
         self.budget = budget
         self.engines = tuple(engines)
-        # The serving tier sets this: budget-checked builds go through the
-        # session cache (keyed by their own config) instead of compiling
-        # fresh per request, so deadlines don't forfeit compile-once
-        # economics.  Off by default: one-shot guarded runs (tests, ad-hoc
-        # scripts) should not populate the cache with guarded variants.
-        self.cache_guarded_compiles = cache_guarded_compiles
         # With ``instrument=True`` the compiled engines build with staged
         # per-operator timers (``Config(instrument=True)``, its own cache
         # key) and the report carries operator_times/operator_rows/kernels
@@ -159,13 +160,6 @@ class ResilientExecutor:
         # every error leaving the chain.  An executor instance serves one
         # request at a time (the serve tier builds one per request).
         self.request_id = request_id
-        self._captured_compiled = None
-        # Per-request parameterization state (an executor serves one
-        # request at a time): the validated positional vector and the
-        # shape text the compiled engine keys its cache on.  None/None for
-        # a non-parameterized statement.
-        self._param_vector: Optional[tuple] = None
-        self._shape_text: Optional[str] = None
 
     # -- public surface -----------------------------------------------------
 
@@ -180,35 +174,42 @@ class ResilientExecutor:
         Binding errors (arity, names, Python types) raise ``E_PARAM``
         before the first attempt: a bad binding is bad on every engine.
         """
-        from repro.plan.params import check_bindings
-
-        resolved = self.session.resolve(sql, params)
-        vector: Optional[tuple] = None
-        if resolved.parameterized:
-            vector = check_bindings(resolved.signature, resolved.bindings)
-        self._param_vector = vector
-        self._shape_text = resolved.text if resolved.parameterized else None
-        try:
-            return self._execute(resolved.plan, sql=sql)
-        finally:
-            self._param_vector = None
-            self._shape_text = None
+        session = self.session
+        return session.apply(session.resolve(sql, params), self._execute)
 
     def execute_plan(self, plan, cache_key: Optional[str] = None) -> ResilientResult:
         """Execute a hand-built physical plan with fallback.
 
-        With ``cache_key`` set, the compiled engine caches the build under
-        that key via :meth:`Session.prepare_plan` (compile-once semantics
-        for plan-level callers); without it, every call compiles fresh.
+        With ``cache_key`` set, the compiled engines cache the build under
+        that key (as :meth:`Session.prepare_plan` does); without it, every
+        call compiles fresh.
         """
         plan.validate(self.session.db.catalog)
-        return self._execute(plan, sql=None, cache_key=cache_key)
+        return self._execute(self.session.resolve_plan(plan, cache_key))
+
+    def compile_config(self, engine: str = "compiled"):
+        """The ``Config`` a compiled attempt on ``engine`` builds under.
+
+        The session config, plus scan checkpoints when this run must tick
+        (budget or mid-scan fault), staged per-operator timers when
+        instrumented, and the batch lowering for the ``vector`` engine.
+        Each distinct config is its own cache entry.
+        """
+        overrides: dict = {}
+        if self._needs_ticks():
+            overrides["budget_checks"] = True
+        if self.instrument:
+            overrides["instrument"] = True
+        if engine == "vector":
+            overrides["codegen"] = "vector"
+        return replace(self.session.config, **overrides)
 
     # -- the chain ----------------------------------------------------------
 
-    def _execute(
-        self, plan, sql: Optional[str], cache_key: Optional[str] = None
-    ) -> ResilientResult:
+    def _execute(self, stmt) -> ResilientResult:
+        # Plan and bind before the first attempt: plan and binding errors
+        # are the query's fault, identical on every engine.
+        vector = stmt.bind()
         report = ExecutionReport(
             budget=self.budget,
             request_id=self.request_id or events.current_request_id(),
@@ -218,10 +219,11 @@ class ResilientExecutor:
         for engine in self.engines:
             start = time.perf_counter()
             ok = False
-            self._captured_compiled = None
+            compiled = engine in COMPILED_ENGINES
+            run = self._run_compiled if compiled else self._run_interpreted
             with span("attempt", engine=engine) as sp:
                 try:
-                    rows = self._run_engine(engine, plan, sql, guard, cache_key)
+                    rows = run(engine, stmt, vector, guard, report)
                     ok = True
                 except BaseException as exc:  # noqa: BLE001 - the policy decides
                     report.attempts.append(
@@ -245,10 +247,12 @@ class ResilientExecutor:
                     )
                     if sp:
                         sp.meta["error"] = error_code(exc) or type(exc).__name__
-                    if engine == "compiled":
+                    if compiled:
                         # Auto-invalidate: never serve a cached compiled query
-                        # that just failed (stale plan, codegen bug...).
-                        self._forget_compiled(sql, cache_key)
+                        # that just failed (stale plan, codegen bug...) --
+                        # neither this attempt's build nor the plain one.
+                        for config in (None, self.compile_config(engine)):
+                            self.session.evict(stmt, config=config)
                     if not self.policy.should_degrade(exc):
                         self._attach(exc, report, guard)
                         raise
@@ -263,17 +267,6 @@ class ResilientExecutor:
                 REGISTRY.counter("engine.degraded")
             if guard is not None:
                 report.budget_stats = guard.stats()
-            captured = self._captured_compiled
-            self._captured_compiled = None
-            if captured is not None and captured.instrumented:
-                # The staged instrumentation's per-operator views, taken
-                # right after this request's run (the CompiledQuery object
-                # is shared across requests of the same shape, so a late
-                # read could see a sibling's numbers -- same shape, so the
-                # aggregate telemetry stays correct either way).
-                report.operator_times = dict(captured.last_times or {})
-                report.operator_rows = dict(captured.last_stats or {})
-                report.kernels = dict(captured.last_kernels or {})
             self._merge_trail(report)
             return ResilientResult(rows, report)
         assert last_error is not None
@@ -319,138 +312,58 @@ class ResilientExecutor:
             spec.site == "mid-scan" for spec in injector.specs
         )
 
-    def _run_engine(
-        self,
-        engine: str,
-        plan,
-        sql: Optional[str],
-        guard: Optional[BudgetGuard],
-        cache_key: Optional[str] = None,
-    ) -> list[tuple]:
-        if engine == "compiled":
-            return self._run_compiled(plan, sql, guard, cache_key)
-        if engine == "vector":
-            return self._run_vector(plan, guard)
-        if engine == "push":
-            return self._run_push(plan, guard)
-        return self._run_volcano(plan, guard)
-
-    def _config_overrides(self) -> dict:
-        """Config fields this run must override on the session config."""
-        overrides: dict = {}
-        if self._needs_ticks():
-            overrides["budget_checks"] = True
-        if self.instrument:
-            overrides["instrument"] = True
-        return overrides
-
-    def _override_config(self, **extra):
-        from repro.compiler.lb2 import Config
-
-        base = self.session.config or Config()
-        return replace(base, **self._config_overrides(), **extra)
-
-    def _guarded_config(self):
-        """Kept for callers/tests that predate ``_override_config``."""
-        return self._override_config()
-
-    def _forget_compiled(self, sql: Optional[str], cache_key: Optional[str]) -> None:
-        """Evict whatever cache entries the failed compiled attempt used."""
-        session = self.session
-        configs = [None]
-        if self.cache_guarded_compiles and self._config_overrides():
-            configs.append(self._override_config())
-        for config in configs:
-            if sql is not None:
-                session.forget(sql, config=config)
-            if cache_key is not None:
-                session.forget_plan(cache_key, config=config)
-
     def _run_compiled(
         self,
-        plan,
-        sql: Optional[str],
+        engine: str,
+        stmt,
+        vector: Optional[tuple],
         guard: Optional[BudgetGuard],
-        cache_key: Optional[str] = None,
+        report: ExecutionReport,
     ) -> list[tuple]:
-        from repro.compiler.driver import LB2Compiler
+        """A compiled engine: ``compiled`` (scalar) or ``vector`` codegen.
 
-        session = self.session
-        shape_text = self._shape_text
-        if self._config_overrides():
-            # Overridden build: cooperative checkpoints in the scan loops
-            # (budgets/deadlines) and/or staged per-operator timers
-            # (telemetry).  Cached only when the owner opted in (the
-            # serving tier, where fresh-compile-per-request would forfeit
-            # the compile-once economics); otherwise fresh.
-            config = self._override_config()
-            if self.cache_guarded_compiles and shape_text is not None:
-                compiled = session.prepare_shape(shape_text, config=config)
-            elif self.cache_guarded_compiles and sql is not None:
-                compiled = session.prepare(sql, config=config)
-            elif self.cache_guarded_compiles and cache_key is not None:
-                compiled = session.prepare_plan(plan, cache_key, config=config)
-            else:
-                compiled = LB2Compiler(
-                    session.db.catalog, session.db, config
-                ).compile(plan)
-        elif shape_text is not None:
-            # Parameterized statement: the shape-keyed entry is shared
-            # across every literal variant -- this is where one compile
-            # serves many bindings.
-            compiled = session.prepare_shape(shape_text)
-        elif sql is not None:
-            compiled = session.prepare(sql)
-        elif cache_key is not None:
-            compiled = session.prepare_plan(plan, cache_key)
-        else:
-            compiled = LB2Compiler(
-                session.db.catalog, session.db, session.config
-            ).compile(plan)
-        return self._run_query(compiled, guard)
-
-    def _run_vector(self, plan, guard: Optional[BudgetGuard]) -> list[tuple]:
-        """The compiled engine with the batch-vectorized codegen backend.
-
-        Always a fresh compile (the session cache is keyed by its own
-        config).  Under an active budget the vector backend itself falls
-        back to scalar code -- budget ticks are defined per row -- so the
-        guarded build is equivalent to the compiled engine's.
+        Under an active budget the vector backend itself falls back to
+        scalar code -- budget ticks are defined per row.
         """
-        from repro.compiler.driver import LB2Compiler
-
-        session = self.session
-        config = self._override_config(codegen="vector")
-        compiled = LB2Compiler(session.db.catalog, session.db, config).compile(plan)
-        return self._run_query(compiled, guard)
-
-    def _run_query(self, compiled, guard: Optional[BudgetGuard]) -> list[tuple]:
-        """Run a compiled query with this request's parameter vector."""
-        self._captured_compiled = compiled
+        config = self.compile_config(engine)
         db = self.session.db
-        if guard is None:
-            return compiled.run(db, self._param_vector)
-        with guard:
-            return compiled.run(db, self._param_vector)
+        if stmt.key is None:
+            from repro.compiler.driver import LB2Compiler
 
-    def _bound_plan(self, plan):
-        """The plan with this request's parameters substituted as consts.
+            compiled = LB2Compiler(db.catalog, db, config).compile(stmt.plan)
+        else:
+            compiled = self.session.compile(stmt, config)
+        with guard or nullcontext():
+            rows = compiled.run(db, vector)
+        if compiled.instrumented:
+            # The staged instrumentation's per-operator views, taken
+            # right after this request's run (the CompiledQuery object
+            # is shared across requests of the same shape, so a late
+            # read could see a sibling's numbers -- same shape, so the
+            # aggregate telemetry stays correct either way).
+            report.operator_times = dict(compiled.last_times or {})
+            report.operator_rows = dict(compiled.last_stats or {})
+            report.kernels = dict(compiled.last_kernels or {})
+        return rows
 
-        The interpreted engines evaluate expressions directly, so they
-        take the bound plan; the compiled engines never need it -- their
-        residual program reads the vector at run time.
-        """
-        if self._param_vector is None:
-            return plan
+    def _run_interpreted(
+        self,
+        engine: str,
+        stmt,
+        vector: Optional[tuple],
+        guard: Optional[BudgetGuard],
+        report: ExecutionReport,
+    ) -> list[tuple]:
+        """The push or Volcano interpreter; every result row ticks the
+        budget.  Interpreters evaluate expressions directly, so they take
+        the plan with the parameters substituted as consts (residual
+        programs read the vector at run time instead)."""
+        from repro.engine.push import build_op
+        from repro.engine.volcano import iterate
         from repro.plan.params import bind_params
 
-        return bind_params(plan, self._param_vector)
-
-    def _run_push(self, plan, guard: Optional[BudgetGuard]) -> list[tuple]:
-        from repro.engine.push import build_op
-
         db = self.session.db
-        plan = self._bound_plan(plan)
+        plan = stmt.plan if vector is None else bind_params(stmt.plan, vector)
         names = plan.field_names(db.catalog)
         out: list[tuple] = []
 
@@ -459,18 +372,9 @@ class ResilientExecutor:
                 guard.tick(1)
             out.append(tuple(row[n] for n in names))
 
-        build_op(plan, db, db.catalog).exec(collect)
-        return out
-
-    def _run_volcano(self, plan, guard: Optional[BudgetGuard]) -> list[tuple]:
-        from repro.engine.volcano import iterate
-
-        db = self.session.db
-        plan = self._bound_plan(plan)
-        names = plan.field_names(db.catalog)
-        out: list[tuple] = []
-        for row in iterate(plan, db, db.catalog):
-            if guard is not None:
-                guard.tick(1)
-            out.append(tuple(row[n] for n in names))
+        if engine == "push":
+            build_op(plan, db, db.catalog).exec(collect)
+        else:
+            for row in iterate(plan, db, db.catalog):
+                collect(row)
         return out

@@ -237,8 +237,9 @@ class QueryServer:
 
         Replies with the canonical statement text and the typed parameter
         signature.  The compiled shape lives in the session cache under
-        the statement's shape key -- which has no tenant component -- so
-        one prepare serves every tenant's subsequent ``execute``.  All
+        the statement's shape key -- which has no tenant component -- and
+        the ``Config`` served executions use, so one prepare serves every
+        tenant's subsequent ``execute``.  All
         failures (lex/parse/plan/param errors) come back as typed error
         documents, never tracebacks.
         """
@@ -265,7 +266,7 @@ class QueryServer:
         tenant = str(doc.get("tenant", "default"))
         try:
             with events.request_context(request_id, shape=shape, tenant=tenant):
-                statement = self.service.session.prepare_statement(sql)
+                statement = self.service.prepare_statement(sql)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:

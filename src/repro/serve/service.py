@@ -20,10 +20,12 @@ flows through, in order:
    exception and never outlives its deadline by more than one checkpoint
    interval plus a small grace.
 
-Compile-once/execute-many economics survive deadlines: the executor is
-built with ``cache_guarded_compiles=True``, so budget-checked builds are
-cached in the session (single-flight: N concurrent misses on one shape
-compile once).
+Compile-once/execute-many economics survive deadlines: the executor
+caches budget-checked builds in the session under their own ``Config``
+(single-flight: N concurrent misses on one shape compile once), and the
+wire ``prepare`` op compiles under that same ``Config``
+(:meth:`QueryService.prepare_statement`), so executions hit what it
+warmed.
 """
 
 from __future__ import annotations
@@ -52,13 +54,11 @@ from repro.obs.slo import SLOConfig, SLOMonitor
 from repro.obs.telemetry import TELEMETRY, shape_digest
 from repro.obs.trace import Trace, span
 from repro.resilience.budget import Budget
+from repro.resilience.executor import COMPILED_ENGINES
 from repro.resilience.executor import ENGINE_CHAIN, FULL_CHAIN, ResilientExecutor
 from repro.serve.admission import AdmissionGate, TenantQuota, TenantRegistry, TokenBucket
 from repro.serve.breaker import OPEN, PROBE, CircuitBreaker
-from repro.session import Session
-
-#: Engines that go through the compiler (and therefore the breaker).
-COMPILED_ENGINES = frozenset({"compiled", "vector"})
+from repro.session import PreparedStatement, Session
 
 #: Interpreted engines the service degrades to while a breaker is open.
 INTERPRETED_CHAIN = ("push", "volcano")
@@ -154,6 +154,7 @@ class ServiceRequest:
     # Stamped by submit(): when this request entered admission, on the
     # monotonic clock (queueing attribution for the profile).
     submitted_at: Optional[float] = None
+    _shape: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def shape(self) -> str:
         """The plan-shape key the breaker and compiled cache share.
@@ -162,13 +163,17 @@ class ServiceRequest:
         with eligible literals lifted to placeholders (:func:`repro.sql.
         shape.statement_shape`) -- so literal variants of one statement
         share breaker state, telemetry digests and the session's
-        shape-keyed compile.
+        shape-keyed compile.  Computed once per request.
         """
-        if self.sql is not None:
+        if self._shape is None:
             from repro.sql.shape import statement_shape
 
-            return "sql:" + statement_shape(self.sql).text
-        return f"tpch:{self.tpch}"
+            self._shape = (
+                f"tpch:{self.tpch}"
+                if self.sql is None
+                else "sql:" + statement_shape(self.sql).text
+            )
+        return self._shape
 
 
 @dataclass
@@ -492,14 +497,7 @@ class QueryService:
         decision = self.breaker.decide(shape)
         response.breaker = decision
         engines = self._engines_for(request, decision)
-        executor = ResilientExecutor(
-            self.session,
-            budget=budget,
-            engines=engines,
-            cache_guarded_compiles=True,
-            instrument=self.config.telemetry,
-            request_id=request.request_id,
-        )
+        executor = self._executor(budget, engines, request.request_id)
         compiled_attempted = False
         try:
             if request.sql is not None:
@@ -534,6 +532,23 @@ class QueryService:
             operator_rows=report.operator_rows,
             kernels=report.kernels,
         )
+
+    def _executor(self, budget, engines, request_id=None) -> ResilientExecutor:
+        """The executor served requests run on; the prepare op compiles
+        under its ``compile_config`` too."""
+        return ResilientExecutor(
+            self.session, budget=budget, engines=engines,
+            instrument=self.config.telemetry, request_id=request_id,
+        )
+
+    def prepare_statement(self, sql: str) -> PreparedStatement:
+        """Compile ``sql`` ahead of its executions, under the ``Config``
+        they will compile under: every served request carries a deadline
+        (so budget checkpoints), plus staged timers under telemetry."""
+        engines = self.config.engines
+        budget = Budget(wall_clock_seconds=self.config.default_deadline_seconds)
+        config = self._executor(budget, engines).compile_config(engines[0])
+        return self.session.prepare_statement(sql, config=config)
 
     def _engines_for(self, request: ServiceRequest, decision: str) -> Sequence[str]:
         if request.engine is not None:

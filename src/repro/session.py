@@ -1,10 +1,23 @@
 """A small session facade: SQL in, rows out, compiled queries cached.
 
 This is the "downstream user" surface: it owns a database, plans SQL
-through the optimizer, compiles with LB2, and caches compiled queries by
-SQL text so repeated statements skip planning and code generation (the
-paper: "compilation times ... can often be amortized if queries are
-precompiled and used multiple times").
+through the optimizer, compiles with LB2, and caches compiled queries so
+repeated statements skip planning and code generation (the paper:
+"compilation times ... can often be amortized if queries are precompiled
+and used multiple times").
+
+Every cached compile takes one path, ``resolve -> compile``:
+
+* :meth:`Session.resolve` decides a statement's cache identity -- the
+  key text (normalized literal text, or the ``shape:`` key of a
+  parameterized statement), and the bindings -- without planning it;
+  the plan is built on first use, so a warm hit never plans.
+* :meth:`Session.compile` is the only code that looks the LRU up,
+  inserts, counts and evicts.  Its key is ``(key text, Config, database
+  identity)``: a config change or a ``session.db`` swap misses cleanly.
+
+``query``, ``prepare``, ``prepare_plan`` and ``prepare_statement`` are thin
+callers of these two, and so is the resilience layer's executor.
 
 The cache is a bounded LRU (``max_cache_size`` statements); hits, misses
 and evictions feed :data:`repro.obs.metrics.REGISTRY` and are inspectable
@@ -25,9 +38,9 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, TypeVar
 
 from repro.compiler.driver import CompiledQuery, LB2Compiler
 from repro.compiler.lb2 import Config
@@ -43,6 +56,14 @@ from repro.plan.rewrite import optimize_for_level
 from repro.sql import sql_to_plan
 from repro.sql.shape import StatementShape, normalize_statement, statement_shape
 from repro.storage.database import Database
+
+T = TypeVar("T")
+
+#: The counters :meth:`Session.cache_info` reports, in report order.
+_COUNTERS = (
+    "hits", "misses", "evictions", "single_flight_waits",
+    "shape_hits", "shape_misses",
+)
 
 
 class _Inflight:
@@ -69,7 +90,6 @@ class PreparedStatement:
 
     session: "Session"
     text: str
-    shape: StatementShape
     compiled: CompiledQuery
 
     @property
@@ -87,38 +107,53 @@ class PreparedStatement:
         with span("execute", engine="compiled"):
             return self.compiled.run(self.session.db, params)
 
-    def describe(self) -> str:
-        slots = ", ".join(
-            f"{s.describe()} {s.ctype.value}" for s in self.signature
-        )
-        return f"{self.text} [{slots}]" if slots else self.text
 
-
-@dataclass(frozen=True)
+@dataclass
 class ResolvedStatement:
-    """One statement resolved for execution on *any* engine.
+    """One statement with its cache identity decided, for any engine.
 
-    The :class:`~repro.resilience.executor.ResilientExecutor` plans every
-    request anyway (interpreted engines walk the plan); this bundles that
-    plan with the parameterization decision so the whole fallback chain
-    agrees on it: ``text`` is the cache text the compiled engine keys on,
-    ``signature``/``bindings`` are what :func:`repro.plan.params.
-    check_bindings` turns into the positional vector, and the interpreted
-    engines substitute the same vector via :func:`repro.plan.params.
-    bind_params`.  ``signature`` is empty for a non-parameterized
-    statement (then ``bindings`` is None and ``text`` is the normalized
-    literal spelling).
+    ``key`` is the cache text the compiled engines key on (and what
+    :meth:`Session.cache_info` lists): the normalized literal text,
+    ``"shape:"`` plus the shape text of a parameterized statement,
+    ``"plan:"`` plus the caller's key for a hand-built plan, or None for a
+    hand-built plan nobody caches.  ``sql`` is the canonical text the
+    planner reads (None for a hand-built plan); ``bindings`` is what
+    :func:`repro.plan.params.check_bindings` turns into the positional
+    vector.  ``literal_sql`` is set only when the session lifted the
+    statement's own literals: it is the text to fall back to when that
+    shape fails with ``E_PARAM`` (see :meth:`Session.apply`).
+
+    :attr:`plan` is built on first use, so a cache hit never plans.
     """
 
-    sql: str
-    text: str
-    plan: PhysicalPlan
-    signature: tuple[ParamSlot, ...]
-    bindings: Optional[Bindings]
+    session: "Session" = field(repr=False)
+    key: Optional[str]
+    sql: Optional[str] = None
+    bindings: Optional[Bindings] = None
+    literal_sql: Optional[str] = None
+    _plan: Optional[PhysicalPlan] = field(default=None, repr=False)
 
     @property
     def parameterized(self) -> bool:
-        return bool(self.signature)
+        return self.key is not None and self.key.startswith("shape:")
+
+    @property
+    def plan(self) -> PhysicalPlan:
+        if self._plan is None:
+            self._plan = self.session.plan(self.sql)
+        return self._plan
+
+    def bind(self) -> Optional[tuple]:
+        """Plan the statement and validate its bindings.
+
+        Returns the positional parameter vector, or None when the
+        statement has no parameters (the slot types come from the plan);
+        binding errors raise ``E_PARAM``.
+        """
+        plan = self.plan
+        if not self.parameterized:
+            return None
+        return check_bindings(collect_params(plan), self.bindings)
 
 
 class Session:
@@ -128,15 +163,13 @@ class Session:
         self,
         db: Database,
         config: Optional[Config] = None,
-        use_index_rewrites: bool = True,
         max_cache_size: int = 128,
         auto_parameterize: bool = True,
     ) -> None:
         if max_cache_size <= 0:
             raise ValueError("max_cache_size must be positive")
         self.db = db
-        self.config = config
-        self.use_index_rewrites = use_index_rewrites
+        self.config = config if config is not None else Config()
         # When False, query()/resolve() never lift literals to parameters:
         # every distinct statement text compiles separately.  Explicit
         # placeholders still work.  Exists for A/B measurement
@@ -146,102 +179,230 @@ class Session:
         self._cache: OrderedDict[tuple, CompiledQuery] = OrderedDict()
         self._inflight: dict[tuple, _Inflight] = {}
         self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._single_flight_waits = 0
-        self._shape_hits = 0
-        self._shape_misses = 0
+        self._counts: Counter = Counter()
         # Shape texts whose parameterized compile (or auto-binding) failed
-        # with E_PARAM: the query path falls back to per-literal compiles
-        # for these and skips re-attempting the shape on every call.
+        # with E_PARAM: resolve() hands out per-literal statements for
+        # these instead of re-attempting the shape on every call.
         self._shape_fallbacks: set[str] = set()
 
     # -- planning ---------------------------------------------------------------
 
     def plan(self, sql: str) -> PhysicalPlan:
-        """Parse + optimize one SQL statement into a physical plan."""
+        """Parse + optimize one SQL statement into a physical plan.
+
+        The database's :class:`~repro.storage.database.OptimizationLevel`
+        decides which index rewrites apply.
+        """
         with span("plan"):
             plan = sql_to_plan(sql, self.db)
-            if self.use_index_rewrites:
-                plan = optimize_for_level(plan, self.db, self.db.catalog)
-        return plan
+            return optimize_for_level(plan, self.db, self.db.catalog)
 
-    def _cache_key(self, sql: str, config: Optional[Config]) -> tuple:
-        """Everything a compiled query was specialized against.
+    # -- resolution: which cache entry a statement uses --------------------------
 
-        Keying by statement text alone served stale plans after a config
-        change or a ``session.db`` swap -- the residual program bakes in
-        dictionary layouts, index choices and instrumentation.  ``Config``
-        is a frozen dataclass (hashable); the database contributes its
-        identity, so rebinding ``session.db`` misses cleanly.
+    def resolve(
+        self, sql: str, params: Optional[Bindings] = None
+    ) -> ResolvedStatement:
+        """Decide ``sql``'s cache key and bindings, without planning it.
 
-        The statement text is canonicalized by :func:`repro.sql.shape.
-        normalize_statement`: whitespace, keyword case and comments do not
-        fragment the cache.
+        Explicit placeholders resolve to the shape key with the caller's
+        ``params`` as bindings.  An eligible literal statement
+        auto-parameterizes (its own literals become the bindings) unless
+        its shape previously failed with ``E_PARAM``; that statement, and
+        any with nothing to lift, resolves to its normalized literal text
+        with no parameters.
         """
-        return (
-            normalize_statement(sql),
-            config,
-            id(self.db),
-            self.use_index_rewrites,
+        shape = statement_shape(sql)
+        if shape.explicit:
+            return self._shaped(shape, params)
+        if params:
+            raise ParamError(
+                "statement has no parameter placeholders but bindings "
+                "were supplied",
+                phase="execute",
+            )
+        if self.auto_parameterize and shape.param_count:
+            with self._lock:
+                known_bad = shape.text in self._shape_fallbacks
+            if not known_bad:
+                return self._shaped(shape, shape.values, literal_sql=sql)
+        return self._literal(sql, shape)
+
+    def resolve_plan(
+        self, plan: PhysicalPlan, key: Optional[str] = None
+    ) -> ResolvedStatement:
+        """A hand-built plan as a statement, cached under ``plan:<key>``.
+
+        The caller owns the key contract: one key must always name one
+        plan shape.  Without a key the statement is not cacheable.
+        """
+        return ResolvedStatement(
+            self, None if key is None else f"plan:{key}", _plan=plan
         )
 
-    def _plan_cache_key(self, key: str, config: Optional[Config]) -> tuple:
-        return (f"plan:{key}", config, id(self.db), self.use_index_rewrites)
+    def _shaped(
+        self,
+        shape: StatementShape,
+        bindings: Optional[Bindings] = None,
+        literal_sql: Optional[str] = None,
+    ) -> ResolvedStatement:
+        return ResolvedStatement(
+            self, f"shape:{shape.text}", shape.text, bindings, literal_sql
+        )
 
-    def _shape_cache_key(self, text: str, config: Optional[Config]) -> tuple:
-        """The cache key of a shape-compiled (parameterized) statement.
+    def _literal(
+        self, sql: str, shape: Optional[StatementShape] = None
+    ) -> ResolvedStatement:
+        # With nothing lifted, the shape text is the normalized text.
+        lifted = shape is None or shape.parameterized
+        text = normalize_statement(sql) if lifted else shape.text
+        return ResolvedStatement(self, text, text)
 
-        ``text`` is already canonical (it came out of
-        :func:`~repro.sql.shape.statement_shape`); the ``shape:`` prefix
-        keeps shape entries distinguishable in :meth:`cache_info` and in
-        the ``session.cache.shape_*`` counters.
+    def apply(
+        self, stmt: ResolvedStatement, fn: Callable[[ResolvedStatement], T]
+    ) -> T:
+        """``fn(stmt)``, falling back to per-literal on a failed shape.
+
+        When the session lifted ``stmt``'s literals and ``fn`` fails with
+        ``E_PARAM`` (the shape does not plan, type or bind), the shape is
+        remembered as bad and ``fn`` runs again on the per-literal
+        statement -- results are identical either way.  Any other
+        statement's ``E_PARAM`` propagates.
         """
-        return (f"shape:{text}", config, id(self.db), self.use_index_rewrites)
+        try:
+            return fn(stmt)
+        except ParamError:
+            if stmt.literal_sql is None:
+                raise
+            with self._lock:
+                self._shape_fallbacks.add(stmt.sql)
+        return fn(self._literal(stmt.literal_sql))
+
+    # -- the compile cache ------------------------------------------------------
+
+    def _key(self, stmt: ResolvedStatement, config: Optional[Config]) -> tuple:
+        """Everything a compiled query was specialized against.
+
+        The residual program bakes in dictionary layouts, index choices,
+        budget checkpoints and instrumentation, so the ``Config`` (a
+        frozen, hashable dataclass) is part of the key; the database
+        contributes its identity, so rebinding ``session.db`` misses.
+        """
+        return (stmt.key, self.config if config is None else config, id(self.db))
+
+    def _count(self, name: str, shaped: bool = False) -> None:
+        """Bump one cache counter and its REGISTRY mirror (lock held);
+        a shape-keyed hit or miss also bumps its ``shape_`` twin."""
+        for counter in (name, f"shape_{name}") if shaped else (name,):
+            self._counts[counter] += 1
+            REGISTRY.counter(f"session.cache.{counter}")
+
+    def compile(
+        self, stmt: ResolvedStatement, config: Optional[Config] = None
+    ) -> CompiledQuery:
+        """The compiled query for ``stmt`` under ``config``, cached.
+
+        ``config`` overrides the session config for this build (the
+        resilience layer caches budget-checked, instrumented and vector
+        builds under their own keys); None means the session config.
+        LRU semantics: a hit refreshes the entry's recency; inserting past
+        ``max_cache_size`` evicts the least recently used entry.
+        Concurrent misses on one key compile once (single-flight).
+        """
+        key = self._key(stmt, config)
+        with self._lock:
+            cached = self._cache.get(key)
+            if cached is not None:
+                self._cache.move_to_end(key)
+                self._count("hits", stmt.parameterized)
+                return cached
+            flight = self._inflight.get(key)
+            leader = flight is None
+            if leader:
+                flight = self._inflight[key] = _Inflight()
+                self._count("misses", stmt.parameterized)
+        if not leader:
+            flight.event.wait()
+            with self._lock:
+                self._count("single_flight_waits")
+            if flight.error is not None:
+                # Each waiter raises its own shallow copy: exception
+                # instances carry mutable state (tracebacks, engine
+                # trails) that must not be shared across threads.
+                raise copy.copy(flight.error)
+            assert flight.result is not None
+            return flight.result
+        # This thread owns the compile; run it outside the lock.
+        t0 = time.perf_counter()
+        try:
+            with span("compile", statement=stmt.key):
+                compiled = LB2Compiler(self.db.catalog, self.db, key[1]).compile(
+                    stmt.plan
+                )
+        except BaseException as exc:
+            flight.error = exc
+            with self._lock:
+                self._inflight.pop(key, None)
+            flight.event.set()
+            raise
+        # Exactly one compile event / telemetry sample per actual
+        # compilation: waiters and cache hits never reach this point.
+        # The ambient request context (serve worker threads) supplies
+        # the request id; the shape falls back to the cache key's
+        # statement text for library callers.
+        shape = events.current_shape() or stmt.key
+        seconds = time.perf_counter() - t0
+        events.emit(
+            "compile",
+            shape=shape,
+            seconds=round(seconds, 6),
+            generation_seconds=round(compiled.generation_seconds, 6),
+            host_seconds=round(compiled.compile_seconds, 6),
+        )
+        TELEMETRY.record_compile(
+            shape,
+            seconds,
+            generation_seconds=compiled.generation_seconds,
+            host_seconds=compiled.compile_seconds,
+        )
+        with self._lock:
+            self._cache[key] = compiled
+            while len(self._cache) > self.max_cache_size:
+                self._cache.popitem(last=False)
+                self._count("evictions")
+            self._inflight.pop(key, None)
+        flight.result = compiled
+        flight.event.set()
+        return compiled
+
+    def evict(
+        self, stmt: ResolvedStatement, *, config: Optional[Config] = None
+    ) -> bool:
+        """Drop ``stmt``'s compiled query under ``config``; True when it
+        was cached."""
+        with self._lock:
+            return self._cache.pop(self._key(stmt, config), None) is not None
+
+    # -- thin callers ------------------------------------------------------------
 
     def prepare(
         self, sql: str, *, config: Optional[Config] = None
     ) -> CompiledQuery:
-        """The compiled query for ``sql``, cached by statement + config.
+        """The compiled query for ``sql`` exactly as written (no literal
+        lifting), cached under its normalized text + ``config``."""
+        return self.compile(self._literal(sql), config)
 
-        LRU semantics: a hit refreshes the statement's recency; inserting
-        past ``max_cache_size`` evicts the least recently used entry.
-        ``config`` overrides the session config for this statement only
-        (the serving tier uses this to cache budget-checked builds under
-        their own key); None means the session config.
-        """
-        cfg = self.config if config is None else config
-        key = self._cache_key(sql, cfg)
-
-        def compile_sql() -> CompiledQuery:
-            with span("compile", statement=" ".join(sql.split())):
-                compiler = LB2Compiler(self.db.catalog, self.db, cfg)
-                return compiler.compile(self.plan(sql))
-
-        return self._prepare_cached(key, compile_sql)
-
-    def prepare_shape(
-        self, text: str, *, config: Optional[Config] = None
+    def prepare_plan(
+        self, plan: PhysicalPlan, key: str, *, config: Optional[Config] = None
     ) -> CompiledQuery:
-        """The compiled query for a canonical (usually parameterized) shape.
+        """Compile-and-cache a hand-built plan under an explicit ``key``.
 
-        ``text`` must be a shape text from :func:`~repro.sql.shape.
-        statement_shape` -- canonical spelling, placeholders in value
-        positions.  The entry is cached under the ``shape:``-prefixed key,
-        so every literal variant of one statement shares one compile; the
-        ``session.cache.shape_hits``/``shape_misses`` counters track this
-        path separately from per-literal compiles.
+        The SQL cache amortizes compilation for front-end statements; this
+        is the same economics for callers that build
+        :class:`~repro.plan.physical.PhysicalPlan` trees directly (the
+        TPC-H plan-only queries served by :mod:`repro.serve`).  The caller
+        owns the key contract: one key must always name one plan shape.
         """
-        cfg = self.config if config is None else config
-        key = self._shape_cache_key(text, cfg)
-
-        def compile_shape() -> CompiledQuery:
-            with span("compile", statement=text):
-                compiler = LB2Compiler(self.db.catalog, self.db, cfg)
-                return compiler.compile(self.plan(text))
-
-        return self._prepare_cached(key, compile_shape)
+        return self.compile(self.resolve_plan(plan, key), config)
 
     def prepare_statement(
         self, sql: str, *, config: Optional[Config] = None
@@ -257,165 +418,8 @@ class Session:
         executes with no bindings.
         """
         shape = statement_shape(sql)
-        if shape.explicit:
-            compiled = self.prepare_shape(shape.text, config=config)
-            return PreparedStatement(self, shape.text, shape, compiled)
-        text = normalize_statement(sql)
-        compiled = self.prepare(sql, config=config)
-        return PreparedStatement(self, text, StatementShape(text=text), compiled)
-
-    def resolve(
-        self, sql: str, params: Optional[Bindings] = None
-    ) -> ResolvedStatement:
-        """Plan ``sql`` with the parameterization decision made.
-
-        Engine-agnostic front half of execution, shared with the
-        resilience layer: explicit placeholders resolve to the shape text
-        with the caller's ``params`` as bindings; an eligible literal
-        statement auto-parameterizes (its own literals become the
-        bindings) unless the shape previously failed with ``E_PARAM``, in
-        which case it -- and any statement with nothing to lift --
-        resolves to the normalized literal text with no parameters.
-        """
-        shape = statement_shape(sql)
-        if shape.explicit:
-            plan = self.plan(shape.text)
-            return ResolvedStatement(
-                sql, shape.text, plan, collect_params(plan), params
-            )
-        if params:
-            raise ParamError(
-                "statement has no parameter placeholders but bindings "
-                "were supplied",
-                phase="execute",
-            )
-        if (
-            self.auto_parameterize
-            and shape.param_count
-            and not self._shape_known_bad(shape.text)
-        ):
-            try:
-                plan = self.plan(shape.text)
-                signature = collect_params(plan)
-                check_bindings(signature, shape.values)
-                return ResolvedStatement(
-                    sql, shape.text, plan, signature, shape.values
-                )
-            except ParamError:
-                self._mark_shape_bad(shape.text)
-        text = normalize_statement(sql)
-        return ResolvedStatement(sql, text, self.plan(text), (), None)
-
-    def _shape_known_bad(self, text: str) -> bool:
-        with self._lock:
-            return text in self._shape_fallbacks
-
-    def _mark_shape_bad(self, text: str) -> None:
-        with self._lock:
-            self._shape_fallbacks.add(text)
-
-    def prepare_plan(
-        self, plan: PhysicalPlan, key: str, *, config: Optional[Config] = None
-    ) -> CompiledQuery:
-        """Compile-and-cache a hand-built plan under an explicit ``key``.
-
-        The SQL cache amortizes compilation for front-end statements; this
-        is the same economics for callers that build
-        :class:`~repro.plan.physical.PhysicalPlan` trees directly (the
-        TPC-H plan-only queries served by :mod:`repro.serve`).  The caller
-        owns the key contract: one key must always name one plan shape.
-        """
-        cfg = self.config if config is None else config
-        cache_key = self._plan_cache_key(key, cfg)
-
-        def compile_plan() -> CompiledQuery:
-            with span("compile", statement=f"plan:{key}"):
-                compiler = LB2Compiler(self.db.catalog, self.db, cfg)
-                return compiler.compile(plan)
-
-        return self._prepare_cached(cache_key, compile_plan)
-
-    def _prepare_cached(
-        self, key: tuple, compile_fn: Callable[[], CompiledQuery]
-    ) -> CompiledQuery:
-        """Cache lookup with single-flight compilation on miss."""
-        while True:
-            wait_for: Optional[_Inflight] = None
-            with self._lock:
-                shaped = key[0].startswith("shape:")
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self._hits += 1
-                    REGISTRY.counter("session.cache.hits")
-                    if shaped:
-                        self._shape_hits += 1
-                        REGISTRY.counter("session.cache.shape_hits")
-                    return cached
-                flight = self._inflight.get(key)
-                if flight is not None:
-                    wait_for = flight
-                else:
-                    flight = _Inflight()
-                    self._inflight[key] = flight
-                    self._misses += 1
-                    REGISTRY.counter("session.cache.misses")
-                    if shaped:
-                        self._shape_misses += 1
-                        REGISTRY.counter("session.cache.shape_misses")
-            if wait_for is not None:
-                wait_for.event.wait()
-                with self._lock:
-                    self._single_flight_waits += 1
-                    REGISTRY.counter("session.cache.single_flight_waits")
-                if wait_for.error is not None:
-                    # Each waiter raises its own shallow copy: exception
-                    # instances carry mutable state (tracebacks, engine
-                    # trails) that must not be shared across threads.
-                    raise copy.copy(wait_for.error)
-                result = wait_for.result
-                assert result is not None
-                return result
-            # This thread owns the compile; run it outside the lock.
-            t0 = time.perf_counter()
-            try:
-                compiled = compile_fn()
-            except BaseException as exc:
-                flight.error = exc
-                with self._lock:
-                    self._inflight.pop(key, None)
-                flight.event.set()
-                raise
-            # Exactly one compile event / telemetry sample per actual
-            # compilation: waiters and cache hits never reach this point.
-            # The ambient request context (serve worker threads) supplies
-            # the request id; the shape falls back to the cache key's
-            # statement text for library callers.
-            shape = events.current_shape() or key[0]
-            seconds = time.perf_counter() - t0
-            events.emit(
-                "compile",
-                shape=shape,
-                seconds=round(seconds, 6),
-                generation_seconds=round(compiled.generation_seconds, 6),
-                host_seconds=round(compiled.compile_seconds, 6),
-            )
-            TELEMETRY.record_compile(
-                shape,
-                seconds,
-                generation_seconds=compiled.generation_seconds,
-                host_seconds=compiled.compile_seconds,
-            )
-            with self._lock:
-                self._cache[key] = compiled
-                while len(self._cache) > self.max_cache_size:
-                    self._cache.popitem(last=False)
-                    self._evictions += 1
-                    REGISTRY.counter("session.cache.evictions")
-                self._inflight.pop(key, None)
-            flight.result = compiled
-            flight.event.set()
-            return compiled
+        stmt = self._shaped(shape) if shape.explicit else self._literal(sql, shape)
+        return PreparedStatement(self, stmt.sql, self.compile(stmt, config))
 
     # -- execution -----------------------------------------------------------------
 
@@ -434,31 +438,12 @@ class Session:
         shape path), the statement transparently falls back to a
         per-literal compile -- results are identical either way.
         """
-        shape = statement_shape(sql)
-        if shape.explicit:
-            compiled = self.prepare_shape(shape.text)
-            with span("execute", engine="compiled"):
-                return compiled.run(self.db, params)
-        if params:
-            raise ParamError(
-                "statement has no parameter placeholders but bindings "
-                "were supplied",
-                phase="execute",
-            )
-        if (
-            self.auto_parameterize
-            and shape.param_count
-            and not self._shape_known_bad(shape.text)
-        ):
-            try:
-                compiled = self.prepare_shape(shape.text)
-                with span("execute", engine="compiled"):
-                    return compiled.run(self.db, shape.values)
-            except ParamError:
-                self._mark_shape_bad(shape.text)
-        compiled = self.prepare(sql)
+        return self.apply(self.resolve(sql, params), self._run)
+
+    def _run(self, stmt: ResolvedStatement) -> list[tuple]:
+        compiled = self.compile(stmt)
         with span("execute", engine="compiled"):
-            return compiled.run(self.db)
+            return compiled.run(self.db, stmt.bindings)
 
     def execute_plan(self, plan: PhysicalPlan) -> list[tuple]:
         """Execute a hand-built physical plan (compiled, uncached)."""
@@ -474,11 +459,8 @@ class Session:
         For the full annotated tree -- wall-time, selectivity, kernel
         counts, any engine -- use :meth:`explain_analyze`.
         """
-        from dataclasses import replace
-
-        base = self.config or Config()
         compiler = LB2Compiler(
-            self.db.catalog, self.db, replace(base, instrument=True)
+            self.db.catalog, self.db, replace(self.config, instrument=True)
         )
         compiled = compiler.compile(self.plan(sql))
         rows = compiled.run(self.db)
@@ -520,63 +502,39 @@ class Session:
             return {
                 "size": len(self._cache),
                 "max_size": self.max_cache_size,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "single_flight_waits": self._single_flight_waits,
-                "shape_hits": self._shape_hits,
-                "shape_misses": self._shape_misses,
+                **{name: self._counts[name] for name in _COUNTERS},
                 "statements": [key[0] for key in self._cache],
             }
 
     def clear_cache(self) -> None:
+        """Drop every cached compiled query, parameterized or not, and
+        reset the shape-fallback memo so previously unparameterizable
+        statements get a fresh chance after whatever changed."""
         with self._lock:
             self._cache.clear()
             self._shape_fallbacks.clear()
-
-    def invalidate(self) -> None:
-        """Drop every cached compiled query (alias of :meth:`clear_cache`).
-
-        This covers parameterized statements too: shape-keyed entries
-        (``shape:`` keys) live in the same LRU, and the shape-fallback
-        memo is reset so previously unparameterizable statements get a
-        fresh chance after whatever changed.  The resilience layer calls
-        this (or :meth:`forget`) when a cached plan misbehaves at run
-        time, so degradation never re-serves a known-bad residual program.
-        """
-        self.clear_cache()
 
     def forget(self, sql: str, *, config: Optional[Config] = None) -> bool:
         """Evict one statement's compiled queries; True when any was cached.
 
         ``config`` selects which specialization to evict (the same default
-        as :meth:`prepare`: the session config).
+        as :meth:`compile`: the session config).
 
         Parameterized-statement contract: a statement maps to up to two
-        cache entries -- the per-literal compile (normalized text, the
+        cache entries -- the per-literal compile (its normalized text, the
         :meth:`prepare` key) and the shape-keyed compile shared with every
-        literal variant (the :meth:`query`/:meth:`prepare_statement` key).
-        ``forget`` evicts both, and clears the statement's shape-fallback
-        memo, so the next execution recompiles from scratch no matter
-        which path cached it.  Note the shape entry is shared: forgetting
-        one literal variant forgets the compile for all of them.
+        literal variant (the key :meth:`resolve` gives it, which
+        :meth:`query`, :meth:`prepare_statement` and the resilience
+        layer compile under).  ``forget`` evicts both, and clears the
+        statement's shape-fallback memo, so the next execution recompiles
+        from scratch no matter which path cached it.  Note the shape entry
+        is shared: forgetting one literal variant forgets the compile for
+        all of them.
         """
-        cfg = self.config if config is None else config
         shape = statement_shape(sql)
-        with self._lock:
-            dropped = self._cache.pop(self._cache_key(sql, cfg), None) is not None
-            if shape.parameterized:
-                shape_key = self._shape_cache_key(shape.text, cfg)
-                dropped = (
-                    self._cache.pop(shape_key, None) is not None
-                ) or dropped
+        dropped = self.evict(self._literal(sql), config=config)
+        if shape.parameterized:
+            dropped = self.evict(self._shaped(shape), config=config) or dropped
+            with self._lock:
                 self._shape_fallbacks.discard(shape.text)
-            return dropped
-
-    def forget_plan(self, key: str, *, config: Optional[Config] = None) -> bool:
-        """Evict one plan-keyed compiled query; True when it was cached."""
-        cfg = self.config if config is None else config
-        with self._lock:
-            return (
-                self._cache.pop(self._plan_cache_key(key, cfg), None) is not None
-            )
+        return dropped

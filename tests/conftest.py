@@ -87,3 +87,17 @@ def normalize(rows, digits: int = 4):
         ],
         key=repr,
     )
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` for the test; each call appends its args to
+    the returned list (``list.append`` is safe from worker threads)."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

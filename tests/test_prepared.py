@@ -264,7 +264,7 @@ def test_forget_one_variant_forgets_the_shared_shape(tiny_db):
 def test_invalidate_clears_shape_entries(tiny_db):
     session = Session(tiny_db)
     session.query("select count(*) from Sales where amount > 20.0")
-    session.invalidate()
+    session.clear_cache()
     assert session.cached_statements == 0
     info = session.cache_info()
     assert info["statements"] == []

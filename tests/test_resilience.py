@@ -13,10 +13,12 @@ from repro.compiler.lb2 import Config
 from repro.compiler.parallel import ParallelQuery
 from repro.engine import execute_push
 from repro.errors import BudgetExceeded, InjectedFault, ReproError
+from repro.obs.metrics import REGISTRY
 from repro.plan import Agg, IndexJoin, Scan, col, count
 from repro.plan.physical import PlanError
 from repro.resilience import (
     DEFAULT_POLICY,
+    FULL_CHAIN,
     STRICT_POLICY,
     Budget,
     FallbackPolicy,
@@ -264,7 +266,7 @@ def test_session_forget_and_invalidate(tiny_db):
     assert session.forget("select   count(*)   from Emp")  # whitespace-insensitive
     assert not session.forget("select count(*) from Emp")
     session.prepare("select count(*) from Emp")
-    session.invalidate()
+    session.clear_cache()
     assert session.cached_statements == 0
 
 
@@ -280,6 +282,16 @@ def test_fallback_evicts_failed_compiled_query(tiny_db):
     assert result.rows == [(6,)]
     assert result.report.engine_trail == ("compiled", "push")
     assert session.cached_statements == 0
+
+
+def test_full_chain_compiles_the_vector_build_once(tiny_db):
+    """Vector builds are cached under their own Config like any other."""
+    executor = ResilientExecutor(Session(tiny_db), engines=FULL_CHAIN)
+    before = REGISTRY.get_counter("compile.count")
+    for _ in range(2):
+        result = executor.query("select count(*) from Sales")
+        assert result.rows == [(6,)] and result.report.engine == "vector"
+    assert REGISTRY.get_counter("compile.count") - before == 1
 
 
 # -- resilient parallel execution --------------------------------------------------

@@ -41,7 +41,7 @@ from repro.serve.admission import AdmissionGate, TenantState
 from repro.session import Session
 from repro.tpch import query_plan
 from repro.tpch.sql_queries import SQL_QUERIES
-from tests.conftest import TINY_SCALE, normalize
+from tests.conftest import TINY_SCALE, count_calls, normalize
 
 
 class FakeClock:
@@ -311,6 +311,47 @@ def test_stats_surface(service):
 
 
 # -- the concurrency hammer (satellite: one Session, N threads, goldens) ------
+
+
+def test_warm_served_request_lexes_once_per_layer_and_plans_once(
+    service, monkeypatch
+):
+    """A warm served SQL request: the service lexes its shape once, the
+    session resolves it once, and the executor plans it at most once."""
+    import repro.session as session_module
+    import repro.sql.shape as shape_module
+
+    assert service.submit(ServiceRequest(sql=SQL_QUERIES[6])).ok  # warm
+    lexes = count_calls(monkeypatch, shape_module, "statement_shape")
+    resolves = count_calls(monkeypatch, session_module, "statement_shape")
+    plans = count_calls(monkeypatch, session_module, "sql_to_plan")
+    before = service.session.cache_info()
+    assert service.submit(ServiceRequest(sql=SQL_QUERIES[6])).ok
+    after = service.session.cache_info()
+    assert after["misses"] == before["misses"]
+    assert len(plans) <= 1
+    assert len(lexes) + len(resolves) <= 2
+
+
+@pytest.mark.parametrize("telemetry", (False, True))
+def test_wire_prepare_warms_the_entry_execute_uses(tpch_db, telemetry):
+    """Prepare compiles under the served Config, so the first execute of
+    the prepared statement is a shape hit, not a second compile."""
+    session = Session(tpch_db)
+    config = ServiceConfig(
+        workers=2, telemetry=telemetry, query_scale=TINY_SCALE
+    )
+    sql = "select count(*) from lineitem where l_quantity > ? and l_discount < ?"
+    with QueryService(session, config) as svc:
+        with QueryServer(svc, port=0, own_service=False) as srv:
+            with ServiceClient(*srv.address) as client:
+                assert client.prepare(sql)["ok"]
+                mid = session.cache_info()
+                assert client.execute(sql, [10.0, 0.07])["ok"]
+    after = session.cache_info()
+    assert mid["shape_misses"] == 1
+    assert after["shape_misses"] == mid["shape_misses"]
+    assert after["shape_hits"] == mid["shape_hits"] + 1
 
 
 def test_hammer_shared_session_matches_goldens(tpch_db):

@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.session import Session
 from repro.plan import Agg, Scan, col, count
-from tests.conftest import normalize
+from tests.conftest import count_calls, normalize
 
 
 # -- repro.execute ------------------------------------------------------------------
@@ -96,12 +96,28 @@ def test_session_uses_index_rewrites_when_available(tiny_db_full):
     assert len(rows) == 5  # CS x3, EE x1, BIO x1
 
 
-def test_session_rewrites_can_be_disabled(tiny_db_full):
-    session = Session(tiny_db_full, use_index_rewrites=False)
-    text = session.explain(
-        "select eid from Emp, Dep where edname = dname and rank < 10"
+@pytest.mark.parametrize(
+    "sql",
+    (
+        "select count(*) from Sales where amount > 20.0",  # shape-keyed
+        "select count(*) from Emp",  # nothing to lift: literal-keyed
+    ),
+)
+def test_warm_query_is_one_lookup_and_no_planning(tiny_db, monkeypatch, sql):
+    """The warm hit path: one cache lookup, no parse, no plan."""
+    import repro.session as session_module
+
+    session = Session(tiny_db)
+    expected = session.query(sql)
+    plans = count_calls(monkeypatch, session_module, "sql_to_plan")
+    before = session.cache_info()
+    assert session.query(sql) == expected
+    after = session.cache_info()
+    assert plans == []
+    lookups = sum(
+        after[k] - before[k] for k in ("hits", "misses", "single_flight_waits")
     )
-    assert "IndexJoin" not in text
+    assert lookups == 1 and after["hits"] == before["hits"] + 1
 
 
 def test_session_execute_plan(tiny_db):
@@ -111,7 +127,7 @@ def test_session_execute_plan(tiny_db):
 
 
 def test_session_tpch(tpch_db):
-    session = Session(tpch_db, use_index_rewrites=False)
+    session = Session(tpch_db)
     rows = session.query(
         "select l_returnflag, count(*) n from lineitem group by l_returnflag "
         "order by l_returnflag"
